@@ -6,7 +6,7 @@ Usage (from the repository root)::
 
 Set-up is timed in fresh interpreters: ``SETUPS - 1`` set-up-only worker
 processes run first, then the measuring worker, and ``setup_s`` is the
-median of the three.  With ``--trace 0`` the last line of standard output
+median of the five.  With ``--trace 0`` the last line of standard output
 is a JSON object holding every ``end_to_end`` metric of ``BENCHMARK.json``;
 with ``--trace 1`` it holds every ``per_layer`` metric.  Lines before it
 report the same numbers for a reader, with the tail percentiles, request
@@ -35,11 +35,12 @@ HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(HERE)
 sys.path.insert(0, HERE)
 
+from spec import WORKLOADS  # noqa: E402
 from stats import median  # noqa: E402
 
 WORKER = os.path.join(HERE, "worker.py")
 #: Set-up samples per run; ``setup_s`` is their median.
-SETUPS = 3
+SETUPS = 5
 #: Wall-time budget of one run, all worker processes together.
 RUN_TIMEOUT_S = 170.0
 
@@ -164,10 +165,9 @@ def main() -> int:
     args = parser.parse_args()
 
     benchmark = load_benchmark()
-    names = [w["name"] for w in benchmark["workloads"]]
-    if args.workload not in names:
+    if args.workload not in WORKLOADS:
         raise BenchError(f"unknown workload {args.workload!r}; "
-                         f"choose from {names}")
+                         f"choose from {sorted(WORKLOADS)}")
     deadline = time.perf_counter() + RUN_TIMEOUT_S
     env, dropped = worker_env()
     common = ["--workload", args.workload, "--seed", str(args.seed),
@@ -210,7 +210,7 @@ def main() -> int:
           f"failed {failed}, fail_rate {failed / max(attempted, 1):.4g}")
 
     first = phases[0]
-    for key in ("tok_s", "prefill_tok_s", "ttft_mean_ms"):
+    for key in ("tok_s", "ttft_p50_ms"):
         values[key] = first[key] if first[key] is not None else 0.0
     values["peak_rss_mb"] = result["peak_rss_mb"]
     if args.trace:
