@@ -60,19 +60,9 @@ def _default_num_threads() -> Optional[int]:
         ) from None
 
 
-def _default_lut_dtype() -> str:
-    """LUT decode-domain default, overridable via ``REPRO_LUT_DTYPE``."""
-    return os.environ.get("REPRO_LUT_DTYPE") or "float"
-
-
 def _default_specialize() -> bool:
     """Specialization default (on), overridable via ``REPRO_SPECIALIZE``."""
     return os.environ.get("REPRO_SPECIALIZE", "1") not in ("0", "false", "no")
-
-
-def _default_gather_variant() -> str:
-    """Gather-driver default, overridable via ``REPRO_GATHER``."""
-    return os.environ.get("REPRO_GATHER") or "auto"
 
 
 def _default_chunk_elements() -> Optional[int]:
@@ -164,26 +154,14 @@ class TMACConfig:
         Minimum gather work (``N * M * K/g`` elements) before the parallel
         or process executor shards a call; below it the serial vectorized
         path runs.
-    lut_dtype:
-        Decode domain for quantized lookup tables: ``"float"`` (default —
-        widen looked-up int8 entries to float64 before aggregation) or
-        ``"int8"`` (the paper's fig10 direction: keep gather, mirror signs
-        and accumulation in the integer domain, rescaling once per block).
-        Bit-identical to the float domain for group-granularity quantized
-        tables (all intermediates are exact small integers) and silently
-        ignored where it cannot apply (unquantized tables, fine scale
-        granularity, fast aggregation).  Default overridable via
-        ``REPRO_LUT_DTYPE`` (the CI int8 leg uses this).
     specialize:
         Use plan-specialized codes-dot kernels
         (:mod:`repro.core.specialize`): branches resolved at first use per
         ``(plan, table mode)``, cached on the plan.  Bit-identical to the
         generic path; on by default.  ``REPRO_SPECIALIZE=0`` disables.
-    gather_variant:
-        Gather driver inside specialized kernels: ``"fancy"`` (advanced
-        indexing), ``"take"`` (:func:`np.take`) or ``"auto"`` (default —
-        the host preference, overridable by the calibration pass in
-        :mod:`repro.hardware.calibrate`).  Env: ``REPRO_GATHER``.
+        Group-granularity quantized tables with exact aggregation run
+        there in the integer domain (int8 gather, int16 signs, int32
+        sums, one float rescale per block — paper §3.3).
     chunk_elements:
         Override of the executor's raw-gather element budget per chunk
         (``None`` uses the executor default).  Chunk boundaries never
@@ -209,9 +187,7 @@ class TMACConfig:
     num_threads: Optional[int] = field(default_factory=_default_num_threads)
     num_workers: Optional[int] = field(default_factory=_default_num_workers)
     parallel_threshold: int = DEFAULT_PARALLEL_THRESHOLD
-    lut_dtype: str = field(default_factory=_default_lut_dtype)
     specialize: bool = field(default_factory=_default_specialize)
-    gather_variant: str = field(default_factory=_default_gather_variant)
     chunk_elements: Optional[int] = field(
         default_factory=_default_chunk_elements)
     name: str = "T-MAC"
@@ -251,15 +227,6 @@ class TMACConfig:
         if self.parallel_threshold < 0:
             raise ValueError(
                 f"parallel_threshold must be >= 0, got {self.parallel_threshold}"
-            )
-        if self.lut_dtype not in ("float", "int8"):
-            raise ValueError(
-                f"lut_dtype must be 'float' or 'int8', got {self.lut_dtype!r}"
-            )
-        if self.gather_variant not in ("auto", "fancy", "take"):
-            raise ValueError(
-                "gather_variant must be 'auto', 'fancy' or 'take', "
-                f"got {self.gather_variant!r}"
             )
         if self.chunk_elements is not None and self.chunk_elements < 1:
             raise ValueError(

@@ -439,10 +439,9 @@ def _execute_shard(plans: dict, seg_cache: dict, task: tuple) -> None:
                         quantized=quantized, scales=scales,
                         scale_block=scale_block, s0=s0, s1=s1,
                         act_dtype=act_dtype)
-    fast_aggregation, specialize, lut_dtype, gather_variant = exec_opts
+    fast_aggregation, specialize = exec_opts
     config = SimpleNamespace(fast_aggregation=fast_aggregation,
-                             specialize=specialize, lut_dtype=lut_dtype,
-                             gather_variant=gather_variant)
+                             specialize=specialize)
     executor = VectorizedExecutor()
     # Assignment into the float32 slice rounds exactly like the serial
     # path's final astype(float32) — same property the thread pool uses.
@@ -688,15 +687,8 @@ class ProcessWorkerPool:
                           table.scale_block, table.s0, table.s1,
                           table.act_dtype)
             # The execution flags the span pipeline reads off the config.
-            # The gather variant is resolved here (in the parent, where a
-            # calibration profile may have set the host preference) so
-            # every worker runs the same driver.
-            from repro.core.specialize import resolve_gather_variant
-
             exec_opts = (bool(config.fast_aggregation),
-                         bool(getattr(config, "specialize", False)),
-                         getattr(config, "lut_dtype", "float"),
-                         resolve_gather_variant(config))
+                         bool(getattr(config, "specialize", False)))
             pending: Dict[int, Tuple[int, int]] = {
                 i: span for i, span in enumerate(shards)
             }

@@ -8,30 +8,31 @@ useful FMACS) is a warning about exactly this: a LUT kernel loses its
 roofline to per-call dispatch, not to arithmetic.
 
 This module is the repo's answer — at first use, one
-:class:`SpecializedKernel` is compiled per ``(KernelPlan, table mode,
-execution flags)`` and cached on the plan (same lock and lifetime as the
-lazy gather tables).  Compilation resolves every branch into closures:
+:class:`SpecializedKernel` is compiled per ``(KernelPlan, table mode)``
+and cached on the plan (same lock and lifetime as the lazy gather
+tables).  Compilation resolves every branch into closures:
 
-* the gather driver (precomputed int32 offsets vs on-the-fly derivation,
-  fancy indexing vs :func:`np.take` — selectable, for the calibrated cost
-  model to choose per host),
+* the gather index (precomputed int32 offsets vs on-the-fly derivation)
+  feeding one :func:`np.take` gather,
 * the mirror-sign application, *fused* into the gather widening
-  (``np.multiply(gathered, signs, dtype=...)`` — one pass instead of an
-  ``astype`` followed by an in-place multiply),
+  (``np.multiply(gathered, signs, dtype=..., order="C")`` — one pass
+  instead of an ``astype`` followed by an in-place multiply, with a
+  C-ordered result so the reshape and the block sum run contiguous),
 * the aggregation mode (unquantized float sum / fine-granularity rescale /
-  group-granularity exact or fast aggregation),
-* optionally the paper's fig10 int8-table direction: with
-  ``TMACConfig(lut_dtype="int8")`` the gather + sign + aggregation stay in
-  the integer domain (int8/int16 temporaries instead of float64 — half to
-  an eighth of the memory traffic) and a single float rescale follows.
+  group-granularity fast aggregation / group-granularity exact sum).
+
+Group-granularity tables with exact aggregation — the table mode of every
+model the library builds by default — run in the paper's integer domain
+(§3.3, fig10): gather, mirror signs and accumulation use int8/int16/int32
+temporaries instead of float64, and a single float rescale per block
+follows.  The other table modes keep the float64 pipeline.
 
 Bit-exactness is load-bearing and asserted by the parity suites: every
 fused operation is integer-exact or performs the same float64 operation
 sequence as the generic path, so specialized results are *bit-identical*
 to the generic vectorized executor (and therefore to the loop oracle) for
-every table mode, and the int8 domain is bit-identical to the float domain
-for group-granularity quantized tables (all intermediate values are exact
-small integers in both).
+every table mode.  The integer domain matches the generic float64 walk
+because every intermediate there is an exact small integer.
 """
 
 from __future__ import annotations
@@ -49,9 +50,6 @@ __all__ = [
     "specialization_key",
     "compile_specialized",
     "maybe_specialized",
-    "resolve_gather_variant",
-    "set_default_gather_variant",
-    "default_gather_variant",
     "specialize_stats",
     "reset_specialize_stats",
 ]
@@ -70,8 +68,11 @@ class SpecializationKey(NamedTuple):
     quantized: bool
     fine: bool  # scale_block == 1 (per-group dynamic scales)
     fast_aggregation: bool
-    int_domain: bool  # int8 LUT decode path (lut_dtype="int8")
-    gather: str  # "fancy" | "take"
+
+    @property
+    def int_domain(self) -> bool:
+        """Integer-domain decode: quantized group tables, exact sums."""
+        return self.quantized and not self.fine and not self.fast_aggregation
 
 
 class _StatsBlock:
@@ -105,7 +106,7 @@ class _StatsBlock:
 _SPECIALIZE_STATS = _StatsBlock((
     "specialize_builds",  # kernels compiled (cache misses)
     "specialize_calls",  # span executions routed through a compiled kernel
-    "specialize_int8_calls",  # of those, integer-domain (lut_dtype="int8")
+    "specialize_int8_calls",  # of those, integer-domain (group tables)
     "specialize_generic_calls",  # spans that fell back to the generic path
 ))
 
@@ -120,37 +121,6 @@ def reset_specialize_stats() -> None:
     _SPECIALIZE_STATS.reset()
 
 
-#: Host-preferred gather driver for ``gather_variant="auto"`` configs.
-#: ``"fancy"`` (advanced indexing) wins on most numpy builds; the
-#: calibration pass (:mod:`repro.hardware.calibrate`) overrides it when
-#: its probes measure ``np.take`` faster on the actual host.
-_DEFAULT_GATHER = "fancy"
-_GATHER_VARIANTS = ("fancy", "take")
-
-
-def set_default_gather_variant(variant: str) -> None:
-    """Set the host default used by ``gather_variant="auto"`` configs."""
-    global _DEFAULT_GATHER
-    if variant not in _GATHER_VARIANTS:
-        raise ValueError(
-            f"gather variant must be one of {_GATHER_VARIANTS}, got {variant!r}"
-        )
-    _DEFAULT_GATHER = variant
-
-
-def default_gather_variant() -> str:
-    """The current host default gather driver."""
-    return _DEFAULT_GATHER
-
-
-def resolve_gather_variant(config) -> str:
-    """Resolve a config's ``gather_variant`` to a concrete driver."""
-    raw = getattr(config, "gather_variant", "auto") or "auto"
-    if raw == "auto":
-        return _DEFAULT_GATHER
-    return raw
-
-
 def specialization_key(table, config) -> SpecializationKey:
     """Normalized key selecting the compiled kernel for ``(table, config)``.
 
@@ -163,19 +133,11 @@ def specialization_key(table, config) -> SpecializationKey:
     fine = quantized and table.scale_block == 1
     group = quantized and not fine
     fast = group and bool(getattr(config, "fast_aggregation", False))
-    # The int8 decode path needs integer table entries and a single scale
-    # per aggregation block; everything else silently stays in the float
-    # domain (a preference, not an error — the CI int8 leg runs the whole
-    # suite, including unquantized and fine-granularity configs).
-    int_domain = (group and not fast
-                  and getattr(config, "lut_dtype", "float") == "int8")
     return SpecializationKey(
         mirrored=bool(table.mirrored),
         quantized=quantized,
         fine=fine,
         fast_aggregation=fast,
-        int_domain=int_domain,
-        gather=resolve_gather_variant(config),
     )
 
 
@@ -223,10 +185,11 @@ class SpecializedKernel:
         [N, m1-m0, j1-j0]`` looked-up (and sign-reconstructed) values.
 
         Every branch of the generic ``_raw_chunk`` is resolved here once.
-        The 2-D offset *view* indexes the flat table directly (yielding
-        the 3-D result with no index flatten/copy), and the mirror signs
-        are fused into the widening multiply — both bit-identical to the
-        gather→astype→inplace-multiply sequence of the generic path.
+        The 2-D offset *view* indexes the flat table directly through
+        :func:`np.take` (yielding the C-ordered 3-D result with no index
+        flatten/copy), and the mirror signs are fused into the widening
+        multiply — both bit-identical to the gather→astype→inplace-multiply
+        sequence of the generic path.
         """
         offsets = self.offsets
         folded = self.folded
@@ -243,13 +206,6 @@ class SpecializedKernel:
                 return (np.arange(j0, j1, dtype=np.int64)[None, :] * stored
                         + folded[bit][m0:m1, j0:j1])
 
-        if self.key.gather == "take":
-            def gather(flat, off):
-                return np.take(flat, off, axis=1)
-        else:
-            def gather(flat, off):
-                return flat[:, off]
-
         # Integer domain: int8 entries * int8 signs fit int16 exactly, so
         # the widening multiply (and the downstream int32 accumulation)
         # loses nothing versus float64 — the values are identical.
@@ -258,18 +214,20 @@ class SpecializedKernel:
         if signs is not None:
             def raw(flat, bit, j0, j1, m0, m1):
                 off = index(bit, j0, j1, m0, m1)
-                return np.multiply(gather(flat, off),
+                # order="C": the default "K" may lay the result out with N
+                # fastest, which makes the reshape and block sum strided.
+                return np.multiply(np.take(flat, off, axis=1),
                                    signs[bit][m0:m1, j0:j1],
-                                   dtype=out_dtype)
+                                   dtype=out_dtype, order="C")
         elif self.key.int_domain:
             def raw(flat, bit, j0, j1, m0, m1):
                 # Unmirrored int8 entries pass through; the aggregation
                 # widens to int32.
-                return gather(flat, index(bit, j0, j1, m0, m1))
+                return np.take(flat, index(bit, j0, j1, m0, m1), axis=1)
         else:
             def raw(flat, bit, j0, j1, m0, m1):
-                return gather(flat, index(bit, j0, j1, m0, m1)).astype(
-                    np.float64)
+                return np.take(flat, index(bit, j0, j1, m0, m1),
+                               axis=1).astype(np.float64)
         return raw
 
     def _make_partial(self):
@@ -291,16 +249,13 @@ class SpecializedKernel:
             def partial(table, blocked, qg0, qg1, j0, j1):
                 return (fast_aggregate(blocked, axis=-1)
                         * table.scales[:, None, qg0:qg1])
-        elif self.key.int_domain:
+        else:
             # Integer-domain accumulation: the int16 (or int8) products
-            # sum exactly in int32 — the same integers the float64 path
-            # accumulates — and one float rescale per block follows.
+            # sum exactly in int32 — the same integers the generic float64
+            # walk accumulates — and one float rescale per block follows.
             def partial(table, blocked, qg0, qg1, j0, j1):
                 aggregated = blocked.sum(axis=-1, dtype=np.int32)
                 return aggregated * table.scales[:, None, qg0:qg1]
-        else:
-            def partial(table, blocked, qg0, qg1, j0, j1):
-                return blocked.sum(axis=-1) * table.scales[:, None, qg0:qg1]
         return partial
 
     # -- per-call entry points ------------------------------------------ #

@@ -15,10 +15,9 @@ fits one linear coefficient per cost term —
   (``N * M * QG``),
 
 plus a constant per phase (the per-call dispatch overhead the
-specialization work attacks).  The same run races the two gather drivers
-(advanced indexing vs. :func:`np.take`) and a small chunk-budget sweep, so
-the profile also records which driver and which chunk size this host's
-caches actually prefer.
+specialization work attacks).  The same run races a small chunk-budget
+sweep, so the profile also records which chunk size this host's caches
+actually prefer.
 
 The fitted :class:`CalibrationProfile` round-trips through JSON, feeds the
 autotuner (:mod:`repro.tuning.tuner`) under ``REPRO_AUTOTUNE=1``, and can
@@ -36,7 +35,7 @@ import argparse
 import json
 import os
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -84,10 +83,10 @@ QUICK_PROBE_SHAPES: Tuple[Tuple[int, int, int, int, int], ...] = (
 #: trade numpy batch width for cache residency.
 CHUNK_BUDGET_CANDIDATES: Tuple[int, ...] = (1 << 20, 1 << 22, 1 << 24)
 
-#: Shape used for the gather-driver race and the chunk sweep — large
-#: enough that the driver difference dominates timer noise, small enough
-#: to keep calibration under a few seconds.
-_VARIANT_PROBE = (1, 1024, 4096, 4, 128)
+#: Shape used for the chunk sweep — large enough that the budget
+#: difference dominates timer noise, small enough to keep calibration
+#: under a few seconds.
+_CHUNK_PROBE = (1, 1024, 4096, 4, 128)
 
 
 @dataclass(frozen=True)
@@ -145,8 +144,6 @@ class CalibrationProfile:
     cores: int
     numpy_version: str
     repeats: int
-    gather_variant: str
-    gather_timings_s: Dict[str, float]
     chunk_elements: Optional[int]
     chunk_timings_s: Dict[str, float]
     coefficients: Dict[str, float]
@@ -205,13 +202,19 @@ class CalibrationProfile:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "CalibrationProfile":
-        """Inverse of :meth:`to_dict`."""
+        """Inverse of :meth:`to_dict`.
+
+        Keys this version no longer records are ignored, so older profiles
+        keep loading (``benchmarks/results/calibration.json`` still
+        carries ``gather_variant`` and ``gather_timings_s``).
+        """
         probes = [
             ProbeResult(shape=ProbeShape(**p.pop("shape")), **p)
             for p in [dict(p) for p in payload.get("probes", ())]
         ]
-        fields = {k: v for k, v in payload.items() if k != "probes"}
-        return cls(probes=probes, **fields)
+        known = {f.name for f in fields(cls)} - {"probes"}
+        kwargs = {k: v for k, v in payload.items() if k in known}
+        return cls(probes=probes, **kwargs)
 
     def save(self, path: str) -> None:
         """Write the profile as pretty-printed JSON."""
@@ -224,18 +227,6 @@ class CalibrationProfile:
         """Read a profile previously written by :meth:`save`."""
         with open(path, "r", encoding="utf-8") as fh:
             return cls.from_dict(json.load(fh))
-
-    # -- side effects ---------------------------------------------------- #
-
-    def apply(self) -> None:
-        """Push the measured preferences into the kernel defaults.
-
-        Today that is the gather driver: ``gather_variant="auto"`` configs
-        resolve to whichever driver this profile measured faster.
-        """
-        from repro.core.specialize import set_default_gather_variant
-
-        set_default_gather_variant(self.gather_variant)
 
 
 # --------------------------------------------------------------------- #
@@ -286,20 +277,17 @@ def _probe_kernel(shape: ProbeShape, config):
     return kernel, a
 
 
-def _probe_config(bits: int, gather_variant: str = "auto",
-                  chunk_elements: Optional[int] = None):
+def _probe_config(bits: int, chunk_elements: Optional[int] = None):
     """The probe kernel configuration: the serial specialized hot path."""
     from repro.core.config import TMACConfig
 
     return TMACConfig(bits=bits, executor="vectorized", specialize=True,
-                      gather_variant=gather_variant,
                       chunk_elements=chunk_elements)
 
 
-def _run_probe(shape: ProbeShape, repeats: int,
-               gather_variant: str) -> ProbeResult:
+def _run_probe(shape: ProbeShape, repeats: int) -> ProbeResult:
     """Time the LUT-build and matmul phases of one probe shape."""
-    config = _probe_config(shape.bits, gather_variant)
+    config = _probe_config(shape.bits)
     kernel, a = _probe_kernel(shape, config)
     table = kernel.precompute(a)
     lut_s = _best_seconds(lambda: kernel.precompute(a), repeats)
@@ -318,23 +306,8 @@ def _run_probe(shape: ProbeShape, repeats: int,
     )
 
 
-def _race_gather_variants(repeats: int) -> Tuple[str, Dict[str, float]]:
-    """Measure both gather drivers on the representative shape."""
-    shape = ProbeShape(*_VARIANT_PROBE)
-    timings: Dict[str, float] = {}
-    for variant in ("fancy", "take"):
-        config = _probe_config(shape.bits, gather_variant=variant)
-        kernel, a = _probe_kernel(shape, config)
-        table = kernel.precompute(a)
-        timings[variant] = _best_seconds(
-            lambda: kernel.matmul_with_table(a, table), repeats)
-    best = min(timings, key=timings.get)
-    return best, timings
-
-
 def _sweep_chunk_budgets(
-    repeats: int, gather_variant: str,
-    candidates: Sequence[int] = CHUNK_BUDGET_CANDIDATES,
+    repeats: int, candidates: Sequence[int] = CHUNK_BUDGET_CANDIDATES,
 ) -> Tuple[Optional[int], Dict[str, float]]:
     """Race chunk budgets on the representative shape.
 
@@ -344,13 +317,12 @@ def _sweep_chunk_budgets(
     """
     from repro.core.executor import VectorizedExecutor
 
-    shape = ProbeShape(*_VARIANT_PROBE)
+    shape = ProbeShape(*_CHUNK_PROBE)
     default_budget = VectorizedExecutor.max_gather_elements
     timings: Dict[str, float] = {}
     best_budget, best_s = None, float("inf")
     for budget in candidates:
-        config = _probe_config(shape.bits, gather_variant,
-                               chunk_elements=budget)
+        config = _probe_config(shape.bits, chunk_elements=budget)
         kernel, a = _probe_kernel(shape, config)
         table = kernel.precompute(a)
         seconds = _best_seconds(
@@ -440,8 +412,6 @@ def calibrate(
 
     ``quick=True`` uses the reduced probe set and fewer repeats — the mode
     the autotuner uses when calibrating lazily inside a serving process.
-    The returned profile has already been :meth:`~CalibrationProfile.apply`-d
-    (the measured gather preference is active).
     """
     import platform
 
@@ -451,15 +421,12 @@ def calibrate(
     else:
         shapes = shapes or PROBE_SHAPES
 
-    gather_variant, gather_timings = _race_gather_variants(repeats)
     if sweep_chunks:
-        chunk_best, chunk_timings = _sweep_chunk_budgets(repeats,
-                                                         gather_variant)
+        chunk_best, chunk_timings = _sweep_chunk_budgets(repeats)
     else:
         chunk_best, chunk_timings = None, {}
 
-    probes = [_run_probe(ProbeShape(*spec), repeats, gather_variant)
-              for spec in shapes]
+    probes = [_run_probe(ProbeShape(*spec), repeats) for spec in shapes]
     coefficients = _fit(probes)
 
     profile = CalibrationProfile(
@@ -467,8 +434,6 @@ def calibrate(
         cores=os.cpu_count() or 1,
         numpy_version=np.__version__,
         repeats=repeats,
-        gather_variant=gather_variant,
-        gather_timings_s=gather_timings,
         chunk_elements=chunk_best,
         chunk_timings_s=chunk_timings,
         coefficients=coefficients,
@@ -478,7 +443,6 @@ def calibrate(
         probe.predicted_s = profile.predict_gemm_seconds(
             probe.shape.n, probe.shape.m, probe.shape.k,
             _probe_config(probe.shape.bits), probe.shape.group_size)
-    profile.apply()
     return profile
 
 
@@ -491,9 +455,7 @@ def load_profile(path: Optional[str] = None) -> Optional[CalibrationProfile]:
     path = path or os.environ.get("REPRO_CALIBRATION")
     if not path or not os.path.exists(path):
         return None
-    profile = CalibrationProfile.load(path)
-    profile.apply()
-    return profile
+    return CalibrationProfile.load(path)
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -511,7 +473,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     profile = calibrate(repeats=args.repeats, quick=args.quick)
     profile.save(args.out)
     worst = profile.max_relative_error()
-    print(f"calibrated {profile.host}: gather={profile.gather_variant} "
+    print(f"calibrated {profile.host}: "
           f"chunk={profile.chunk_elements or 'default'} "
           f"worst fit error {worst:.1%}")
     for name, value in sorted(profile.coefficients.items()):

@@ -147,7 +147,6 @@ class ExecutionChoice:
     executor: str
     workers: int
     chunk_elements: Optional[int]
-    gather_variant: str
     predicted_seconds: float
 
 
@@ -169,8 +168,7 @@ class ShapeTuner:
       (:func:`~repro.hardware.cost_model.process_ipc_overhead_seconds`),
 
     and returns the cheapest as an :class:`ExecutionChoice` — together
-    with the profile's measured chunk-budget and gather-driver
-    preferences.  Choices are memoized; the per-call cost after the first
+    with the profile's measured chunk-budget preference.  Choices are memoized; the per-call cost after the first
     resolution of a shape is one dict lookup.
     """
 
@@ -218,7 +216,6 @@ class ShapeTuner:
             executor=best[0],
             workers=best[1],
             chunk_elements=profile.chunk_elements,
-            gather_variant=profile.gather_variant,
             predicted_seconds=best[2],
         )
 
@@ -226,8 +223,7 @@ class ShapeTuner:
         """Rewrite ``config`` to execute with ``choice``.
 
         Explicit user settings win: an already-pinned ``chunk_elements``
-        or a non-``"auto"`` ``gather_variant`` is left alone — the tuner
-        only fills in what the caller delegated.
+        is left alone — the tuner only fills in what the caller delegated.
         """
         updates: dict = {}
         if config.executor != choice.executor:

@@ -1,8 +1,9 @@
 """Quality gate for the int8 LUT decode path (paper fig10 direction).
 
-``TMACConfig(lut_dtype="int8")`` keeps the gather/sign/aggregation
-pipeline in the integer domain.  For group-granularity quantized tables
-this is *bit-identical* to the float path — the gate below asserts that
+The specialized kernels keep the gather/sign/aggregation pipeline of
+group-granularity quantized tables in the integer domain.  This is
+*bit-identical* to the generic float64 walk (``specialize=False``) over
+the same tables — the gate below asserts that
 at both the kernel level (NMSE against the unquantized reference) and the
 model level (perplexity under the numpy transformer), so a future change
 that makes int8 lossy fails loudly instead of silently degrading quality.
@@ -26,8 +27,12 @@ from repro.workloads.generator import make_gemv_case
 NMSE_GATE = 5e-2
 
 
-def _config(lut_dtype):
-    return TMACConfig(bits=4, lut_dtype=lut_dtype, specialize=True,
+#: The integer-domain specialized path and the generic float64 walk.
+DOMAINS = {"int8": True, "float": False}
+
+
+def _config(domain):
+    return TMACConfig(bits=4, specialize=DOMAINS[domain],
                       executor="vectorized")
 
 
@@ -38,7 +43,7 @@ class TestKernelGate:
         out = {
             dtype: TMACKernel(case.qweight, _config(dtype)).matmul(
                 case.activation)
-            for dtype in ("float", "int8")
+            for dtype in DOMAINS
         }
         return case, out
 

@@ -1,11 +1,11 @@
 """Host calibration: fitting, persistence, and the live accuracy gate."""
 
+import json
 import os
 
 import numpy as np
 import pytest
 
-from repro.core.specialize import default_gather_variant, set_default_gather_variant
 from repro.hardware import M2_ULTRA
 from repro.hardware.calibrate import (
     PROBE_SHAPES,
@@ -52,13 +52,11 @@ def synthetic_probes(coefficients=TRUE_COEFFICIENTS):
     return probes
 
 
-def synthetic_profile(cores=1, chunk_elements=None, gather="fancy",
+def synthetic_profile(cores=1, chunk_elements=None,
                       coefficients=TRUE_COEFFICIENTS):
     profile = CalibrationProfile(
         host="testhost", cores=cores, numpy_version=np.__version__,
-        repeats=1, gather_variant=gather,
-        gather_timings_s={"fancy": 1e-3, "take": 2e-3},
-        chunk_elements=chunk_elements, chunk_timings_s={},
+        repeats=1, chunk_elements=chunk_elements, chunk_timings_s={},
         coefficients=dict(coefficients), probes=synthetic_probes(),
     )
     for probe in profile.probes:
@@ -113,17 +111,26 @@ class TestPersistence:
         assert load_profile() is None
         assert load_profile(str(tmp_path / "absent.json")) is None
 
-    def test_load_profile_from_env_applies_gather(self, tmp_path, monkeypatch):
-        host_default = default_gather_variant()
+    def test_load_profile_from_env(self, tmp_path, monkeypatch):
         path = tmp_path / "calibration.json"
-        synthetic_profile(gather="take").save(str(path))
+        synthetic_profile(cores=3).save(str(path))
         monkeypatch.setenv("REPRO_CALIBRATION", str(path))
-        try:
-            profile = load_profile()
-            assert profile is not None
-            assert default_gather_variant() == "take"
-        finally:
-            set_default_gather_variant(host_default)
+        profile = load_profile()
+        assert profile is not None
+        assert profile.cores == 3
+
+    def test_load_committed_profile_with_stale_gather_keys(self):
+        """The committed profile predates the single gather driver: it
+        still carries ``gather_variant``/``gather_timings_s``, which load
+        ignores."""
+        path = os.path.join(os.path.dirname(__file__), os.pardir, os.pardir,
+                            "benchmarks", "results", "calibration.json")
+        with open(path, encoding="utf-8") as fh:
+            assert "gather_variant" in json.load(fh)
+        profile = load_profile(path)
+        assert profile is not None
+        assert profile.probes
+        assert profile.predict_gemv_seconds(512, 2048, _probe_config(4)) > 0
 
 
 class TestCostModelAnchoring:
@@ -150,12 +157,7 @@ class TestLiveCalibration:
     def test_quick_calibration_meets_accuracy_gate(self):
         """Acceptance: the fitted model predicts measured mpGEMV latency
         within 25% on the probed decode shapes."""
-        host_default = default_gather_variant()
-        try:
-            profile = calibrate(quick=True, repeats=3, sweep_chunks=False)
-        finally:
-            set_default_gather_variant(host_default)
-        assert profile.gather_variant in ("fancy", "take")
+        profile = calibrate(quick=True, repeats=3, sweep_chunks=False)
         assert all(v >= 0 for v in profile.coefficients.values())
         assert profile.probes, "calibration kept no probe evidence"
         assert profile.max_relative_error(gemv_only=True) <= 0.25

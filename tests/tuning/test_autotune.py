@@ -71,11 +71,9 @@ class TestChoose:
         assert other is not first
 
     def test_profile_preferences_propagate(self):
-        tuner = ShapeTuner(synthetic_profile(cores=1, chunk_elements=1 << 20,
-                                             gather="take"))
+        tuner = ShapeTuner(synthetic_profile(cores=1, chunk_elements=1 << 20))
         choice = tuner.choose(1, 512, 2048, _config())
         assert choice.chunk_elements == 1 << 20
-        assert choice.gather_variant == "take"
 
 
 class TestApply:
@@ -83,7 +81,6 @@ class TestApply:
         tuner = ShapeTuner(synthetic_profile(cores=1, chunk_elements=1 << 20))
         choice = ExecutionChoice(executor="vectorized", workers=1,
                                  chunk_elements=1 << 20,
-                                 gather_variant="fancy",
                                  predicted_seconds=1e-3)
         delegated = _config(chunk_elements=None)
         tuned = tuner.apply(delegated, choice)
@@ -94,13 +91,13 @@ class TestApply:
     def test_rewrites_executor_and_workers(self):
         tuner = ShapeTuner(synthetic_profile(cores=8))
         choice = ExecutionChoice(executor="process", workers=4,
-                                 chunk_elements=None, gather_variant="fancy",
+                                 chunk_elements=None,
                                  predicted_seconds=1e-3)
         tuned = tuner.apply(_config(), choice)
         assert tuned.executor == "process"
         assert tuned.num_workers == 4
         choice = ExecutionChoice(executor="parallel", workers=3,
-                                 chunk_elements=None, gather_variant="fancy",
+                                 chunk_elements=None,
                                  predicted_seconds=1e-3)
         tuned = tuner.apply(_config(), choice)
         assert tuned.executor == "parallel"
@@ -110,7 +107,7 @@ class TestApply:
         tuner = ShapeTuner(synthetic_profile(cores=1))
         config = _config(chunk_elements=1 << 22)
         choice = ExecutionChoice(executor="vectorized", workers=1,
-                                 chunk_elements=None, gather_variant="fancy",
+                                 chunk_elements=None,
                                  predicted_seconds=1e-3)
         assert tuner.apply(config, choice) is config
 
